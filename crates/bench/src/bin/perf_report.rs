@@ -12,11 +12,19 @@
 //! cargo run -p shapesearch-bench --bin perf_report --release [-- --check]
 //! ```
 //!
+//! Pruned and unpruned runs alternate rep by rep, and each workload's
+//! figure is the median of the per-pair ratios (min and max alongside),
+//! so a slow stretch of a shared machine hits both sides of a pair
+//! instead of one whole side.
+//!
 //! With `--check` the run additionally gates: pruning-on must never be
 //! slower than `SHAPESEARCH_BENCH_REGRESSION_FACTOR` (default 1.25 — the real overhead is ~1 %, but shared-runner wall-clock noise makes a tighter gate flaky)
 //! times pruning-off on any workload, and the needle workload must show
 //! at least `SHAPESEARCH_BENCH_MIN_NEEDLE_SPEEDUP` (default 2.0) — the
-//! paper's headline §6.3 effect.
+//! paper's headline §6.3 effect. Both gates read the median pair ratio.
+//!
+//! The `segment_tree` block (ungated) records SegmentTree throughput in
+//! trees per second for fuzzy chains of 2, 3 and 4 units.
 
 use shapesearch_core::score::score_up;
 use shapesearch_core::{
@@ -36,8 +44,12 @@ const TRENDLINES: usize = 1228;
 const POINTS: usize = 48;
 /// Result count per query.
 const K: usize = 5;
-/// Timing repetitions (best-of).
+/// Timing repetitions (best-of) of the kernel, cold-load and
+/// connections blocks.
 const REPS: usize = 5;
+/// Interleaved pruned/unpruned timing pairs per workload config (odd,
+/// so the median is one pair's ratio).
+const PAIRS: usize = 9;
 
 /// A splitmix-ish LCG in [-1, 1).
 struct Lcg(u64);
@@ -101,55 +113,51 @@ fn common_collection() -> Vec<Trendline> {
         .collect()
 }
 
-struct Measured {
-    micros: u64,
-    results: String,
-    pruning: PruningSnapshot,
+/// Median, min and max of a sample (sorted in place).
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
 }
 
-/// Best-of-`REPS` wall clock of one configuration, with the counters of
-/// the final rep and a canonical rendering of its results.
-fn measure(
-    trendlines: &[Trendline],
-    shards: usize,
-    mode: PruningMode,
-    query: &ShapeQuery,
-) -> Measured {
-    let options = EngineOptions {
-        pruning_mode: mode,
-        ..EngineOptions::default()
-    };
-    let engine = ShardedEngine::from_trendlines(trendlines.to_vec(), shards).with_options(options);
-    let mut best = u64::MAX;
-    let mut last = None;
-    for _ in 0..REPS {
-        let shared = SharedThresholds::new(1);
-        let started = Instant::now();
-        let results = engine
-            .top_k_batch_shared(&[(query, K)], engine.options(), &shared)
-            .pop()
-            .expect("one outcome")
-            .expect("query runs");
-        best = best.min(started.elapsed().as_micros() as u64);
-        last = Some((results, shared.snapshot()));
+impl Spread {
+    fn of(samples: &mut [f64]) -> Self {
+        samples.sort_by(f64::total_cmp);
+        Self {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
     }
-    let (results, pruning) = last.expect("REPS > 0");
+}
+
+/// One timed run of `query` on `engine`: wall-clock micros, the
+/// canonical rendering of its results and its pruning counters.
+fn run_once(engine: &ShardedEngine, query: &ShapeQuery) -> (u64, String, PruningSnapshot) {
+    let shared = SharedThresholds::new(1);
+    let started = Instant::now();
+    let results = engine
+        .top_k_batch_shared(&[(query, K)], engine.options(), &shared)
+        .pop()
+        .expect("one outcome")
+        .expect("query runs");
+    let micros = started.elapsed().as_micros().max(1) as u64;
     let rendered: Vec<String> = results
         .iter()
         .map(|r| format!("{}:{}:{:?}:{:?}", r.key, r.viz_index, r.score, r.ranges))
         .collect();
-    Measured {
-        micros: best,
-        results: rendered.join(";"),
-        pruning,
-    }
+    (micros, rendered.join(";"), shared.snapshot())
 }
 
 struct ConfigReport {
     shards: usize,
+    /// Median pruned wall clock.
     on_micros: u64,
+    /// Median unpruned wall clock.
     off_micros: u64,
-    speedup: f64,
+    /// Spread of the per-pair unpruned/pruned ratios.
+    speedup: Spread,
     pruning: PruningSnapshot,
 }
 
@@ -157,6 +165,46 @@ struct WorkloadReport {
     name: &'static str,
     query: &'static str,
     configs: Vec<ConfigReport>,
+}
+
+/// Times one shard count as `PAIRS` interleaved pruned/unpruned pairs
+/// (the side that goes first alternates), asserting every run's answer
+/// is the same.
+fn measure(name: &str, data: &[Trendline], shards: usize, query: &ShapeQuery) -> ConfigReport {
+    let engine = |mode| {
+        let options = EngineOptions {
+            pruning_mode: mode,
+            ..EngineOptions::default()
+        };
+        ShardedEngine::from_trendlines(data.to_vec(), shards).with_options(options)
+    };
+    let (on_engine, off_engine) = (engine(PruningMode::Auto), engine(PruningMode::Off));
+    let (mut on_times, mut off_times, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    let mut last = None;
+    for pair in 0..PAIRS {
+        let (on, off) = if pair % 2 == 0 {
+            let on = run_once(&on_engine, query);
+            (on, run_once(&off_engine, query))
+        } else {
+            let off = run_once(&off_engine, query);
+            (run_once(&on_engine, query), off)
+        };
+        assert_eq!(
+            on.1, off.1,
+            "{name} shards={shards}: pruning changed the answer"
+        );
+        on_times.push(on.0 as f64);
+        off_times.push(off.0 as f64);
+        speedups.push(off.0 as f64 / on.0 as f64);
+        last = Some(on.2);
+    }
+    ConfigReport {
+        shards,
+        on_micros: Spread::of(&mut on_times).median as u64,
+        off_micros: Spread::of(&mut off_times).median as u64,
+        speedup: Spread::of(&mut speedups),
+        pruning: last.expect("PAIRS > 0"),
+    }
 }
 
 fn run_workload(
@@ -168,30 +216,22 @@ fn run_workload(
     let configs = [1usize, 4]
         .iter()
         .map(|&shards| {
-            let on = measure(data, shards, PruningMode::Auto, &query);
-            let off = measure(data, shards, PruningMode::Off, &query);
-            assert_eq!(
-                on.results, off.results,
-                "{name} shards={shards}: pruning changed the answer"
-            );
+            let c = measure(name, data, shards, &query);
             eprintln!(
-                "{name:>7} shards={shards}: pruned={:>8}µs unpruned={:>8}µs speedup={:.2}x \
+                "{name:>7} shards={shards}: pruned={:>8}µs unpruned={:>8}µs \
+                 speedup median={:.2}x min={:.2}x max={:.2}x over {PAIRS} pairs \
                  (bounded={} pruned={} scored={} bound_micros={})",
-                on.micros,
-                off.micros,
-                off.micros as f64 / on.micros as f64,
-                on.pruning.bounded,
-                on.pruning.pruned,
-                on.pruning.scored,
-                on.pruning.bound_micros,
+                c.on_micros,
+                c.off_micros,
+                c.speedup.median,
+                c.speedup.min,
+                c.speedup.max,
+                c.pruning.bounded,
+                c.pruning.pruned,
+                c.pruning.scored,
+                c.pruning.bound_micros,
             );
-            ConfigReport {
-                shards,
-                on_micros: on.micros,
-                off_micros: off.micros,
-                speedup: off.micros as f64 / on.micros as f64,
-                pruning: on.pruning,
-            }
+            c
         })
         .collect();
     WorkloadReport {
@@ -199,6 +239,71 @@ fn run_workload(
         query: query_text,
         configs,
     }
+}
+
+/// SegmentTree throughput on one fuzzy chain length.
+struct TreeReport {
+    units: usize,
+    query: &'static str,
+    /// Trees built per rep (one per visualization per pass).
+    trees: usize,
+    trees_per_sec: Spread,
+}
+
+/// Timing passes per SegmentTree rep, so one rep outlasts timer noise.
+const TREE_PASSES: usize = 3;
+
+/// SegmentTree kernel throughput: one tree per GROUPed visualization of
+/// `data`, single thread, for fuzzy chains of 2, 3 and 4 units, reported
+/// as trees per second over `PAIRS` reps. Ungated: it records where the
+/// engine's SEGMENT+SCORE time goes.
+fn run_segment_tree(data: &[Trendline]) -> Vec<TreeReport> {
+    use shapesearch_core::algo::segment_tree::SegmentTreeSegmenter;
+    use shapesearch_core::chain::expand_chains;
+    use shapesearch_core::{Evaluator, ScoreParams, Segmenter, UdpRegistry};
+
+    let grouped = group_collection(data, 1);
+    let vizzes: Vec<_> = grouped.iter().flatten().collect();
+    let (params, udps) = (ScoreParams::default(), UdpRegistry::new());
+    let segmenter = SegmentTreeSegmenter::default();
+    [
+        (2, "[p=up][p=down]"),
+        (3, "[p=down][p=flat][p=up]"),
+        (4, "[p=up][p=down][p=flat][p=up]"),
+    ]
+    .into_iter()
+    .map(|(units, query)| {
+        let chains = expand_chains(&parse_regex(query).expect("static query parses"));
+        let mut sink = 0.0f64;
+        let mut rates: Vec<f64> = (0..PAIRS)
+            .map(|_| {
+                let started = Instant::now();
+                for _ in 0..TREE_PASSES {
+                    for v in &vizzes {
+                        let ev = Evaluator::new(v, &params, &udps);
+                        sink += segmenter.match_viz(&ev, &chains).score;
+                    }
+                }
+                (vizzes.len() * TREE_PASSES) as f64 / started.elapsed().as_secs_f64()
+            })
+            .collect();
+        std::hint::black_box(sink);
+        let report = TreeReport {
+            units,
+            query,
+            trees: vizzes.len() * TREE_PASSES,
+            trees_per_sec: Spread::of(&mut rates),
+        };
+        eprintln!(
+            "segment_tree units={units}: median={:.0} min={:.0} max={:.0} trees/s ({} trees/rep)",
+            report.trees_per_sec.median,
+            report.trees_per_sec.min,
+            report.trees_per_sec.max,
+            report.trees,
+        );
+        report
+    })
+    .collect()
 }
 
 /// Raw scoring-kernel throughput: every start-anchored candidate window
@@ -522,6 +627,7 @@ fn git_rev() -> String {
 fn render_json(
     workloads: &[WorkloadReport],
     kernel: &KernelReport,
+    trees: &[TreeReport],
     cold: &ColdLoadReport,
     conn: &ConnectionsReport,
 ) -> String {
@@ -537,6 +643,7 @@ fn render_json(
     out.push_str(&format!("  \"points\": {POINTS},\n"));
     out.push_str(&format!("  \"k\": {K},\n"));
     out.push_str(&format!("  \"reps\": {REPS},\n"));
+    out.push_str(&format!("  \"pairs\": {PAIRS},\n"));
     out.push_str("  \"workloads\": [\n");
     for (wi, w) in workloads.iter().enumerate() {
         out.push_str("    {\n");
@@ -547,12 +654,15 @@ fn render_json(
             out.push_str(&format!(
                 "        {{\"shards\": {}, \"pruning_on_micros\": {}, \
                  \"pruning_off_micros\": {}, \"speedup\": {:.3}, \
+                 \"speedup_min\": {:.3}, \"speedup_max\": {:.3}, \
                  \"pruning\": {{\"bounded\": {}, \"pruned\": {}, \"scored\": {}, \
                  \"bound_micros\": {}}}}}{}\n",
                 c.shards,
                 c.on_micros,
                 c.off_micros,
-                c.speedup,
+                c.speedup.median,
+                c.speedup.min,
+                c.speedup.max,
                 c.pruning.bounded,
                 c.pruning.pruned,
                 c.pruning.scored,
@@ -581,6 +691,22 @@ fn render_json(
     out.push_str("    ],\n");
     out.push_str(&format!("    \"ratio\": {:.3}\n", kernel.ratio));
     out.push_str("  },\n");
+    out.push_str("  \"segment_tree\": [\n");
+    for (i, t) in trees.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"units\": {}, \"query\": \"{}\", \"trees\": {}, \
+             \"trees_per_sec\": {:.0}, \"trees_per_sec_min\": {:.0}, \
+             \"trees_per_sec_max\": {:.0}}}{}\n",
+            t.units,
+            t.query,
+            t.trees,
+            t.trees_per_sec.median,
+            t.trees_per_sec.min,
+            t.trees_per_sec.max,
+            if i + 1 == trees.len() { "" } else { "," },
+        ));
+    }
+    out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"cold_load\": {{\"eager_micros\": {}, \"cold_micros\": {}, \
          \"ratio\": {:.3}, \"snapshot_bytes\": {}}},\n",
@@ -638,10 +764,11 @@ fn main() {
         run_workload("common", "[p=up][p=down]", &common_collection()),
     ];
     let kernel = run_kernel(&common_collection());
+    let trees = run_segment_tree(&common_collection());
     let cold = run_cold_load(&common_collection());
     let conn = run_connections(&common_collection());
 
-    let json = render_json(&workloads, &kernel, &cold, &conn);
+    let json = render_json(&workloads, &kernel, &trees, &cold, &conn);
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
     eprintln!("wrote BENCH_engine.json");
 
@@ -690,17 +817,23 @@ fn main() {
         }
         for w in &workloads {
             for c in &w.configs {
-                if (c.on_micros as f64) > regression_factor * c.off_micros as f64 {
+                // PAIRS is odd, so the median pruned/unpruned ratio is
+                // exactly the reciprocal of the median speedup.
+                if 1.0 / c.speedup.median > regression_factor {
                     failures.push(format!(
-                        "{} shards={}: pruned path {}µs exceeds {regression_factor}x \
-                         unpruned {}µs",
-                        w.name, c.shards, c.on_micros, c.off_micros
+                        "{} shards={}: median pair ratio pruned/unpruned {:.2}x exceeds \
+                         {regression_factor}x (median pruned {}µs, unpruned {}µs)",
+                        w.name,
+                        c.shards,
+                        1.0 / c.speedup.median,
+                        c.on_micros,
+                        c.off_micros
                     ));
                 }
-                if w.name == "needle" && c.speedup < min_needle_speedup {
+                if w.name == "needle" && c.speedup.median < min_needle_speedup {
                     failures.push(format!(
-                        "needle shards={}: speedup {:.2}x below the {min_needle_speedup}x gate",
-                        c.shards, c.speedup
+                        "needle shards={}: median speedup {:.2}x below the {min_needle_speedup}x gate",
+                        c.shards, c.speedup.median
                     ));
                 }
                 if let Some((path, text)) = &baseline {

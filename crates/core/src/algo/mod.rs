@@ -15,6 +15,8 @@ pub mod dp;
 pub mod greedy;
 pub mod pruning;
 pub mod segment_tree;
+#[cfg(test)]
+mod segment_tree_reference;
 
 use crate::chain::Chain;
 use crate::eval::Evaluator;

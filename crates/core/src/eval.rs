@@ -22,8 +22,9 @@ use crate::ast::{Modifier, Pattern, PosRef, ShapeQuery, ShapeSegment};
 use crate::chain::Chain;
 use crate::engine::group::VizData;
 use crate::score::{
-    self, clamp_score, combine_and, combine_not, combine_or, score_down, score_flat, score_theta,
-    score_up, ScoreParams,
+    self, clamp_score, combine_and, combine_not, combine_or, score_down, score_down_angle,
+    score_flat, score_flat_angle, score_theta, score_theta_angle, score_up, score_up_angle,
+    ScoreParams,
 };
 use shapesearch_similarity::{normalized_similarity, resample_linear};
 use std::collections::HashMap;
@@ -120,6 +121,19 @@ pub fn slope_leaf(q: &ShapeQuery) -> Option<SlopeLeaf> {
         Some(Pattern::Any) => Some(SlopeLeaf::Any),
         Some(Pattern::Slope(deg)) => Some(SlopeLeaf::Slope(deg)),
         _ => None,
+    }
+}
+
+/// The Table-5 score function a [`SlopeLeaf`] stands for, applied to a
+/// window's fitted angle `tan⁻¹(slope)`.
+#[inline]
+fn apply_slope_leaf_angle(leaf: SlopeLeaf, angle: f64) -> f64 {
+    match leaf {
+        SlopeLeaf::Up => score_up_angle(angle),
+        SlopeLeaf::Down => score_down_angle(angle),
+        SlopeLeaf::Flat => score_flat_angle(angle),
+        SlopeLeaf::Any => 1.0,
+        SlopeLeaf::Slope(deg) => score_theta_angle(angle, deg),
     }
 }
 
@@ -232,10 +246,33 @@ impl<'a> Evaluator<'a> {
     /// clamp), minus all the dispatch the leaf can't reach.
     #[inline]
     pub fn eval_slope_leaf(&self, leaf: SlopeLeaf, i: usize, j: usize) -> f64 {
+        self.eval_slope_leaf_at(leaf, self.window_angle(i, j), i, j)
+    }
+
+    /// The fitted angle `tan⁻¹(slope)` of window `[i, j]` — the one
+    /// transcendental every slope leaf needs. Callers that score the
+    /// same window under several leaves take it once and pass it to
+    /// [`Evaluator::eval_slope_leaf_at`].
+    #[inline]
+    pub(crate) fn window_angle(&self, i: usize, j: usize) -> f64 {
+        self.viz.slope(i, j).atan()
+    }
+
+    /// [`Evaluator::eval_slope_leaf`] over `[i, j]` given the window's
+    /// [`Evaluator::window_angle`]: the same bits, without recomputing
+    /// the angle (`SlopeLeaf::Any` ignores it).
+    #[inline]
+    pub(crate) fn eval_slope_leaf_at(
+        &self,
+        leaf: SlopeLeaf,
+        angle: f64,
+        i: usize,
+        j: usize,
+    ) -> f64 {
         // `0.0 +` replicates the general path's sum/count accumulation
         // bit for bit: IEEE `0.0 + (-0.0)` is `+0.0`, so a raw `-0.0`
         // pattern score must flip sign here exactly as it does there.
-        let score = (0.0 + self.apply_slope_leaf(leaf, self.viz.slope(i, j))) / 1.0;
+        let score = (0.0 + apply_slope_leaf_angle(leaf, angle)) / 1.0;
         let score = score::width_penalty(
             score,
             self.viz.xs()[j] - self.viz.xs()[i],
@@ -286,11 +323,8 @@ impl<'a> Evaluator<'a> {
     #[inline]
     fn apply_slope_leaf(&self, leaf: SlopeLeaf, slope: f64) -> f64 {
         match leaf {
-            SlopeLeaf::Up => score_up(slope),
-            SlopeLeaf::Down => score_down(slope),
-            SlopeLeaf::Flat => score_flat(slope),
             SlopeLeaf::Any => 1.0,
-            SlopeLeaf::Slope(deg) => score_theta(slope, deg),
+            _ => apply_slope_leaf_angle(leaf, slope.atan()),
         }
     }
 

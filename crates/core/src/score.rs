@@ -85,25 +85,47 @@ pub fn width_penalty(score: f64, width: f64, min_width_frac: f64) -> f64 {
 /// Score of the `up` pattern for a fitted slope: 2·tan⁻¹(slope)/π.
 /// Rises from −1 (steep fall) through 0 (flat) to +1 (steep rise).
 pub fn score_up(slope: f64) -> f64 {
-    2.0 * slope.atan() / PI
+    score_up_angle(slope.atan())
+}
+
+/// [`score_up`] of a window whose fitted angle `theta = tan⁻¹(slope)` is
+/// already known. The four slope scorers are thin wrappers over these
+/// angle forms, so a caller that scores one window under several
+/// patterns takes the arctangent once and gets the same bits.
+pub(crate) fn score_up_angle(theta: f64) -> f64 {
+    2.0 * theta / PI
 }
 
 /// Score of the `down` pattern: the negation of [`score_up`].
 pub fn score_down(slope: f64) -> f64 {
-    -score_up(slope)
+    score_down_angle(slope.atan())
+}
+
+/// [`score_down`] of a known fitted angle.
+pub(crate) fn score_down_angle(theta: f64) -> f64 {
+    -score_up_angle(theta)
 }
 
 /// Score of the `flat` pattern: 1 − |4·tan⁻¹(slope)/π|. Equals 1 at slope 0,
 /// 0 at ±45°, −1 at ±90°.
 pub fn score_flat(slope: f64) -> f64 {
-    1.0 - (4.0 * slope.atan() / PI).abs()
+    score_flat_angle(slope.atan())
+}
+
+/// [`score_flat`] of a known fitted angle.
+pub(crate) fn score_flat_angle(theta: f64) -> f64 {
+    1.0 - (4.0 * theta / PI).abs()
 }
 
 /// Score of the `θ = x` pattern (target angle in **degrees**): maximal when
 /// the fitted angle equals the target, decaying to −1 at the farthest
 /// possible angle.
 pub fn score_theta(slope: f64, target_deg: f64) -> f64 {
-    let theta = slope.atan();
+    score_theta_angle(slope.atan(), target_deg)
+}
+
+/// [`score_theta`] of a known fitted angle (radians; target in degrees).
+pub(crate) fn score_theta_angle(theta: f64, target_deg: f64) -> f64 {
     let target = target_deg.to_radians().clamp(-FRAC_PI_2, FRAC_PI_2);
     // Largest possible |θ − target| given θ ∈ (−π/2, π/2).
     let worst = FRAC_PI_2 + target.abs();
