@@ -752,6 +752,7 @@ mod tests {
             specs in proptest::collection::vec((0u8..9, 0.05f64..1.0, -80f64..80.0), 1..9),
             min_width in 0u8..3,
         ) {
+            let _cpu = crate::test_support::cpu_heavy();
             let v = viz(&pairs);
             let params = ScoreParams {
                 min_width_frac: [0.0, 0.05, 0.2][min_width as usize],

@@ -17,8 +17,8 @@
 //! Shards are held behind `Arc` so an embedder (e.g. the server's
 //! dataset catalog) can hand individual shard tasks to its own worker
 //! pool and merge with [`merge_topk`]; [`ShardedEngine::top_k_batch`]
-//! does the same fan-out in-process with scoped threads when parallelism
-//! is on (or the collection crosses
+//! does the same fan-out in-process, the caller and scoped helper
+//! threads claiming shards in turn, when parallelism is on (or the collection crosses
 //! [`EngineOptions::parallel_threshold`]).
 
 use super::{EngineOptions, ShapeEngine, SharedThresholds, TopKResult};
@@ -26,6 +26,7 @@ use crate::error::Result;
 use crate::eval::UdpFn;
 use crate::ShapeQuery;
 use shapesearch_datastore::{extract, ExtractOptions, Table, Trendline, VisualSpec};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A trendline collection partitioned into N independently queryable
@@ -315,10 +316,10 @@ impl ShardedEngine {
     /// stage across the batch) over its own partition, then each query's
     /// per-shard partials are merged deterministically.
     ///
-    /// Shards run on scoped threads when `options.parallel` is set or
-    /// the collection holds at least `options.parallel_threshold`
-    /// trendlines — the "parallel" knob now simply fans out shards —
-    /// and sequentially otherwise. Either way the outcome is
+    /// Shards run on the caller plus up to `cores - 1` scoped helper
+    /// threads when `options.parallel` is set or the collection holds at
+    /// least `options.parallel_threshold` trendlines — the "parallel"
+    /// knob now simply fans out shards — and sequentially otherwise. Either way the outcome is
     /// bit-identical to the unsharded engine, per query.
     ///
     /// The server's `execute_on_shards` is the pool-task twin of this
@@ -372,30 +373,49 @@ impl ShardedEngine {
         }
         let fan_out = options.parallel || self.trendline_count >= options.parallel_threshold;
         let partials: Vec<Vec<Result<Vec<TopKResult>>>> = if fan_out {
-            // One thread per shard; shard work is the unit of
-            // parallelism, so the engine's *inner* viz-level parallelism
-            // is switched off rather than oversubscribing cores.
+            // Shard work is the unit of parallelism, so the engine's
+            // *inner* viz-level parallelism is switched off rather than
+            // oversubscribing cores.
             let inner = EngineOptions {
                 parallel: false,
                 parallel_threshold: usize::MAX,
                 ..options.clone()
             };
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        let inner = &inner;
-                        scope.spawn(move || {
-                            shard.top_k_batch_observed(items, inner, shared, observer)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard thread panicked"))
-                    .collect()
-            })
+            // The calling thread claims shards alongside at most
+            // `cores - 1` helpers: a 4-shard query on 2 cores spawns one
+            // thread, not four, and never leaves the caller idle in a
+            // join while its cores are oversubscribed.
+            let next = AtomicUsize::new(0);
+            let claim_shards = || {
+                let mut done = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(shard) = self.shards.get(i) else {
+                        return done;
+                    };
+                    done.push((
+                        i,
+                        shard.top_k_batch_observed(items, &inner, shared, observer),
+                    ));
+                }
+            };
+            let helpers = std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(self.shards.len())
+                - 1;
+            let mut done = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(claim_shards)).collect();
+                let mut done = claim_shards();
+                for h in handles {
+                    done.extend(h.join().expect("shard thread panicked"));
+                }
+                done
+            });
+            // Back into shard order: the merge sees exactly the input a
+            // sequential run would give it.
+            done.sort_unstable_by_key(|&(i, _)| i);
+            done.into_iter().map(|(_, partial)| partial).collect()
         } else {
             self.shards
                 .iter()
@@ -616,6 +636,7 @@ mod tests {
 
     #[test]
     fn sharded_top_k_identical_to_unsharded_for_every_segmenter() {
+        let _cpu = crate::test_support::cpu_heavy();
         let tls = collection(23);
         let queries = [
             updown(),
@@ -832,6 +853,8 @@ mod tests {
             eprintln!("single-core machine: skipping the wall-clock comparison");
             return;
         }
+        // No CPU-heavy sibling test may share the cores being measured.
+        let _exclusive = crate::test_support::timing_exclusive();
         let time = |engine: &ShardedEngine| {
             let mut best = std::time::Duration::MAX;
             for _ in 0..3 {

@@ -55,6 +55,9 @@ pub mod snapshot;
 pub mod stats;
 pub mod udps;
 
+#[cfg(test)]
+mod test_support;
+
 pub use algo::pruning::{
     query_bounds, PruningConfig, PruningCounters, PruningDriver, PruningMode, PruningSnapshot,
     ThresholdCell,
