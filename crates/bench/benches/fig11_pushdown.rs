@@ -1,5 +1,5 @@
 //! Criterion version of Figure 11: non-fuzzy query runtime with and without
-//! the §5.4 push-down optimizations.
+//! the §5.4 push-down optimizations (a)+(b), on a warm GROUP arena.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapesearch_bench::{query, SEED};
@@ -22,6 +22,7 @@ fn fig11(c: &mut Criterion) {
                 pushdown,
                 ..EngineOptions::default()
             });
+            eng.warm(eng.options().bin_width);
             group.bench_with_input(BenchmarkId::new(label, id.name()), &eng, |b, eng| {
                 b.iter(|| black_box(eng.top_k(&q, K).expect("query")));
             });

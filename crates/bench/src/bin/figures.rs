@@ -136,7 +136,7 @@ fn fig10(scale: f64, k: usize) {
 
 fn fig11(scale: f64, k: usize) {
     header(&format!(
-        "Figure 11: non-fuzzy runtime ± push-down (ms), scale={scale}, k={k}"
+        "Figure 11: non-fuzzy runtime ± push-down (a)+(b), warm arena (ms), scale={scale}, k={k}"
     ));
     println!(
         "{:<12} {:>18} {:>18} {:>9}",

@@ -15,13 +15,17 @@
 //! Pruned and unpruned runs alternate rep by rep, and each workload's
 //! figure is the median of the per-pair ratios (min and max alongside),
 //! so a slow stretch of a shared machine hits both sides of a pair
-//! instead of one whole side.
+//! instead of one whole side. The `kernel` block times its columnar and
+//! scalar passes the same way.
 //!
 //! With `--check` the run additionally gates: pruning-on must never be
 //! slower than `SHAPESEARCH_BENCH_REGRESSION_FACTOR` (default 1.25 — the real overhead is ~1 %, but shared-runner wall-clock noise makes a tighter gate flaky)
 //! times pruning-off on any workload, and the needle workload must show
 //! at least `SHAPESEARCH_BENCH_MIN_NEEDLE_SPEEDUP` (default 2.0) — the
-//! paper's headline §6.3 effect. Both gates read the median pair ratio.
+//! paper's headline §6.3 effect. The columnar scoring kernel must reach
+//! at least `SHAPESEARCH_BENCH_MIN_KERNEL_RATIO` (default 1.0) times the
+//! scalar reference's throughput. All three gates read the median pair
+//! ratio.
 //!
 //! The `segment_tree` block (ungated) records SegmentTree throughput in
 //! trees per second for fuzzy chains of 2, 3 and 4 units.
@@ -44,11 +48,11 @@ const TRENDLINES: usize = 1228;
 const POINTS: usize = 48;
 /// Result count per query.
 const K: usize = 5;
-/// Timing repetitions (best-of) of the kernel, cold-load and
-/// connections blocks.
+/// Timing repetitions (best-of) of the cold-load and connections blocks.
 const REPS: usize = 5;
-/// Interleaved pruned/unpruned timing pairs per workload config (odd,
-/// so the median is one pair's ratio).
+/// Interleaved timing pairs per workload config (pruned/unpruned) and
+/// of the kernel block (columnar/scalar); odd, so the median is one
+/// pair's ratio.
 const PAIRS: usize = 9;
 
 /// A splitmix-ish LCG in [-1, 1).
@@ -167,9 +171,25 @@ struct WorkloadReport {
     configs: Vec<ConfigReport>,
 }
 
-/// Times one shard count as `PAIRS` interleaved pruned/unpruned pairs
-/// (the side that goes first alternates), asserting every run's answer
-/// is the same.
+/// Runs `a` and `b` as `PAIRS` interleaved pairs, alternating which side
+/// goes first, so a slow stretch of the machine hits both sides of a
+/// pair instead of one whole side.
+fn interleaved<T>(mut a: impl FnMut() -> T, mut b: impl FnMut() -> T) -> Vec<(T, T)> {
+    (0..PAIRS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let a = a();
+                (a, b())
+            } else {
+                let b = b();
+                (a(), b)
+            }
+        })
+        .collect()
+}
+
+/// Times one shard count as interleaved pruned/unpruned pairs, asserting
+/// every run's answer is the same.
 fn measure(name: &str, data: &[Trendline], shards: usize, query: &ShapeQuery) -> ConfigReport {
     let engine = |mode| {
         let options = EngineOptions {
@@ -181,14 +201,11 @@ fn measure(name: &str, data: &[Trendline], shards: usize, query: &ShapeQuery) ->
     let (on_engine, off_engine) = (engine(PruningMode::Auto), engine(PruningMode::Off));
     let (mut on_times, mut off_times, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
     let mut last = None;
-    for pair in 0..PAIRS {
-        let (on, off) = if pair % 2 == 0 {
-            let on = run_once(&on_engine, query);
-            (on, run_once(&off_engine, query))
-        } else {
-            let off = run_once(&off_engine, query);
-            (run_once(&on_engine, query), off)
-        };
+    let pairs = interleaved(
+        || run_once(&on_engine, query),
+        || run_once(&off_engine, query),
+    );
+    for (on, off) in pairs {
         assert_eq!(
             on.1, off.1,
             "{name} shards={shards}: pruning changed the answer"
@@ -311,13 +328,17 @@ fn run_segment_tree(data: &[Trendline]) -> Vec<TreeReport> {
 /// a pattern score, once through the columnar [`shapesearch_core::ColumnarArena`]
 /// batch kernel and once through the retained scalar [`StatsIndex`]
 /// reference. Both paths must agree bit for bit (asserted here, every
-/// run); the ratio is the tentpole's microscopic win, gated by `--check`
-/// independently of engine wall clock.
+/// run). The two sides are timed as `PAIRS` interleaved pairs (the side
+/// that goes first alternates), and `ratio` is the spread of the
+/// per-pair scalar/columnar time ratios, gated by `--check` on its
+/// median independently of engine wall clock.
 struct KernelReport {
     windows: u64,
+    /// Median columnar throughput over the pairs.
     columnar_points_per_sec: f64,
+    /// Median scalar throughput over the pairs.
     scalar_points_per_sec: f64,
-    ratio: f64,
+    ratio: Spread,
 }
 
 /// Timing passes per rep: enough windows per measurement that the
@@ -349,10 +370,8 @@ fn run_kernel(data: &[Trendline]) -> KernelReport {
         }
     }
 
-    let mut best_columnar = u64::MAX;
-    let mut best_scalar = u64::MAX;
     let mut sink = 0.0f64;
-    for _ in 0..REPS {
+    let columnar = || {
         let started = Instant::now();
         for _ in 0..KERNEL_PASSES {
             for v in &vizzes {
@@ -362,33 +381,42 @@ fn run_kernel(data: &[Trendline]) -> KernelReport {
                 }
             }
         }
-        best_columnar = best_columnar.min(started.elapsed().as_micros() as u64);
-
+        started.elapsed().as_micros().max(1) as f64
+    };
+    let mut scalar_sink = 0.0f64;
+    let scalar = || {
         let started = Instant::now();
         for _ in 0..KERNEL_PASSES {
             for (v, idx) in vizzes.iter().zip(&scalar_indexes) {
                 for j in 1..v.n() {
-                    sink += score_up(idx.slope(0, j));
+                    scalar_sink += score_up(idx.slope(0, j));
                 }
             }
         }
-        best_scalar = best_scalar.min(started.elapsed().as_micros() as u64);
-    }
-    std::hint::black_box(sink);
+        started.elapsed().as_micros().max(1) as f64
+    };
+    let pairs = interleaved(columnar, scalar);
+    let mut columnar_times: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+    let mut scalar_times: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+    let mut ratios: Vec<f64> = pairs.iter().map(|(c, s)| s / c).collect();
+    std::hint::black_box((sink, scalar_sink));
 
     let windows = windows_per_pass * KERNEL_PASSES as u64;
-    let pps = |micros: u64| windows as f64 / (micros.max(1) as f64 / 1e6);
+    let pps = |micros: f64| windows as f64 / (micros / 1e6);
     let report = KernelReport {
         windows,
-        columnar_points_per_sec: pps(best_columnar),
-        scalar_points_per_sec: pps(best_scalar),
-        ratio: best_scalar as f64 / best_columnar.max(1) as f64,
+        columnar_points_per_sec: pps(Spread::of(&mut columnar_times).median),
+        scalar_points_per_sec: pps(Spread::of(&mut scalar_times).median),
+        ratio: Spread::of(&mut ratios),
     };
     eprintln!(
-        " kernel: columnar={:.1}M windows/s scalar={:.1}M windows/s ratio={:.2}x ({} windows/pass)",
+        " kernel: columnar={:.1}M windows/s scalar={:.1}M windows/s \
+         ratio median={:.2}x min={:.2}x max={:.2}x over {PAIRS} pairs ({} windows/pass)",
         report.columnar_points_per_sec / 1e6,
         report.scalar_points_per_sec / 1e6,
-        report.ratio,
+        report.ratio.median,
+        report.ratio.min,
+        report.ratio.max,
         windows_per_pass,
     );
     report
@@ -689,7 +717,9 @@ fn render_json(
         kernel.scalar_points_per_sec
     ));
     out.push_str("    ],\n");
-    out.push_str(&format!("    \"ratio\": {:.3}\n", kernel.ratio));
+    out.push_str(&format!("    \"ratio\": {:.3},\n", kernel.ratio.median));
+    out.push_str(&format!("    \"ratio_min\": {:.3},\n", kernel.ratio.min));
+    out.push_str(&format!("    \"ratio_max\": {:.3}\n", kernel.ratio.max));
     out.push_str("  },\n");
     out.push_str("  \"segment_tree\": [\n");
     for (i, t) in trees.iter().enumerate() {
@@ -801,11 +831,11 @@ fn main() {
                 conn.idle_peers, conn.penalty, conn.quiet_micros, conn.crowded_micros
             ));
         }
-        if kernel.ratio < min_kernel_ratio {
+        if kernel.ratio.median < min_kernel_ratio {
             failures.push(format!(
-                "kernel: columnar/scalar throughput ratio {:.2} below the {min_kernel_ratio}x floor \
-                 (columnar {:.0} vs scalar {:.0} windows/s)",
-                kernel.ratio, kernel.columnar_points_per_sec, kernel.scalar_points_per_sec
+                "kernel: median pair columnar/scalar throughput ratio {:.2} below the \
+                 {min_kernel_ratio}x floor (median columnar {:.0} vs scalar {:.0} windows/s)",
+                kernel.ratio.median, kernel.columnar_points_per_sec, kernel.scalar_points_per_sec
             ));
         }
         if cold.ratio < min_cold_ratio {

@@ -43,7 +43,8 @@ pub struct EngineOptions {
     pub segmenter: SegmenterKind,
     /// GROUP binning width in raw points per bin (1 = no binning).
     pub bin_width: usize,
-    /// Enables the §5.4 push-down optimizations.
+    /// Enables the §5.4 push-down optimizations (a) and (b) (see
+    /// [`pushdown`]).
     pub pushdown: bool,
     /// Scores candidate visualizations on multiple threads.
     pub parallel: bool,
@@ -391,9 +392,8 @@ impl ShapeEngine {
     /// Outcomes are per query, in input order, and are bit-identical to
     /// running [`Self::top_k_with_options`] on each `(query, k)` pair
     /// individually — one malformed query fails only its own slot, never
-    /// the rest of the batch. Queries that need a restricted GROUP
-    /// (push-down (c): fully pinned x ranges) fall back to a private
-    /// per-query GROUP so their restriction cannot leak into neighbours.
+    /// the rest of the batch. Every query — fuzzy, hybrid or fully
+    /// pinned — reads its candidates from the same cached GROUP arena.
     pub fn top_k_batch(
         &self,
         items: &[(&ShapeQuery, usize)],
@@ -447,9 +447,6 @@ impl ShapeEngine {
             k: usize,
             chains: Vec<Chain>,
             pinned: Vec<(f64, f64)>,
-            /// Push-down (c): fully pinned queries GROUP privately over
-            /// their own x ranges.
-            restrict: bool,
         }
 
         let preps: Vec<Result<Prep<'_>>> = items
@@ -465,7 +462,6 @@ impl ShapeEngine {
                     k,
                     chains,
                     pinned: query.pinned_x_ranges(),
-                    restrict: options.pushdown && pushdown::fully_pinned(query),
                 })
             })
             .collect();
@@ -494,31 +490,16 @@ impl ShapeEngine {
             .enumerate()
             .map(|(qi, prep)| {
                 let p = prep?;
-                let private: Vec<VizData>;
-                let vizzes: Vec<&VizData> = if p.restrict {
-                    private = self
-                        .trendlines
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| wants(&p, t))
-                        .filter_map(|(source, t)| {
-                            VizData::from_trendline_restricted(
-                                t,
-                                source,
-                                options.bin_width,
-                                &p.pinned,
-                            )
-                        })
-                        .collect();
-                    private.iter().collect()
-                } else {
-                    self.trendlines
-                        .iter()
-                        .zip(grouped.iter())
-                        .filter(|(t, _)| wants(&p, t))
-                        .filter_map(|(_, v)| v.as_ref())
-                        .collect()
-                };
+                // Candidate selection is per-query work too, so it runs
+                // inside the SEGMENT+SCORE stage.
+                let score_started = Instant::now();
+                let vizzes: Vec<&VizData> = self
+                    .trendlines
+                    .iter()
+                    .zip(grouped.iter())
+                    .filter(|(t, _)| wants(&p, t))
+                    .filter_map(|(_, v)| v.as_ref())
+                    .collect();
 
                 let driver = options.pruning_mode.active_for(options.segmenter).then(|| {
                     PruningDriver::new(
@@ -530,7 +511,6 @@ impl ShapeEngine {
                     )
                     .with_observer(observer)
                 });
-                let score_started = Instant::now();
                 let results = self.run_per_viz(
                     &vizzes,
                     &p.chains,
@@ -830,6 +810,114 @@ mod tests {
         let ka: Vec<&str> = a.iter().map(|r| r.key.as_str()).collect();
         let kb: Vec<&str> = b.iter().map(|r| r.key.as_str()).collect();
         assert_eq!(ka, kb);
+    }
+
+    /// `[p=up, x.s=5, x.e=20][p=down, x.s=20, x.e=40]`: every segment
+    /// pinned, so the query is located.
+    fn located() -> ShapeQuery {
+        ShapeQuery::concat(vec![
+            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Up, 5.0, 20.0)),
+            ShapeQuery::Segment(ShapeSegment::pinned(Pattern::Down, 20.0, 40.0)),
+        ])
+    }
+
+    /// 48-point series on x = 0..47 that all rise over [5, 20] and fall
+    /// over [20, 40] at different rates, so no candidate is eagerly
+    /// discarded and every score differs.
+    fn located_peaks(n: usize) -> Vec<Trendline> {
+        (0..n)
+            .map(|i| {
+                let (rise, fall) = (1.0 + i as f64 * 0.3, 2.0 + (i % 5) as f64 * 0.7);
+                let pairs: Vec<(f64, f64)> = (0..48)
+                    .map(|x| {
+                        let x = x as f64;
+                        let y = if x <= 20.0 {
+                            rise * x
+                        } else {
+                            rise * 20.0 - fall * (x - 20.0)
+                        };
+                        (x, y + (x * 0.37 + i as f64).sin() * 0.5)
+                    })
+                    .collect();
+                Trendline::from_pairs(format!("peak{i}"), &pairs)
+            })
+            .collect()
+    }
+
+    /// Key, score bits, index and ranges: what "bit-identical" compares.
+    fn bits(results: &[TopKResult]) -> Vec<String> {
+        results
+            .iter()
+            .map(|r| {
+                let bits = r.score.to_bits();
+                format!("{}:{bits:x}:{}:{:?}", r.key, r.viz_index, r.ranges)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn located_query_reports_real_canvas_ranges() {
+        let q = located();
+        assert!(pushdown::fully_pinned(&q));
+        let engine = ShapeEngine::from_trendlines(located_peaks(6));
+        let results = engine.top_k(&q, 6).unwrap();
+        assert_eq!(results.len(), 6);
+        for r in &results {
+            assert_eq!(r.ranges, vec![(5, 20), (20, 40)], "{}", r.key);
+        }
+
+        // Binned: the ranges are the shared binned canvas's own indexes.
+        let binned = EngineOptions {
+            bin_width: 2,
+            ..EngineOptions::default()
+        };
+        let canvas = VizData::from_trendline(&located_peaks(1)[0], 0, 2).unwrap();
+        let want = vec![
+            (canvas.x_to_index(5.0), canvas.x_to_index(20.0)),
+            (canvas.x_to_index(20.0), canvas.x_to_index(40.0)),
+        ];
+        let results = engine.top_k_with_options(&q, 6, &binned).unwrap();
+        assert_eq!(results.len(), 6);
+        for r in &results {
+            assert_eq!(r.ranges, want, "{}", r.key);
+        }
+    }
+
+    #[test]
+    fn located_query_is_bit_identical_with_pushdown_on_and_off() {
+        let tls = located_peaks(12);
+        let q = located();
+        let fuzzy = updown();
+        let k = tls.len();
+        let off = EngineOptions {
+            pushdown: false,
+            ..EngineOptions::default()
+        };
+        let on_engine = ShapeEngine::from_trendlines(tls.clone());
+        let off_engine = ShapeEngine::from_trendlines(tls.clone()).with_options(off.clone());
+        let want = bits(&off_engine.top_k(&q, k).unwrap());
+        // Eager discard fires on none of them, so (a) and (b) are no-ops.
+        assert_eq!(want.len(), k);
+        assert_eq!(bits(&on_engine.top_k(&q, k).unwrap()), want);
+
+        // Mixed into a batch with fuzzy queries, on either setting.
+        for engine in [&on_engine, &off_engine] {
+            let batch = engine.top_k_batch(&[(&fuzzy, 3), (&q, k), (&fuzzy, 1)], engine.options());
+            assert_eq!(bits(batch[1].as_ref().unwrap()), want);
+        }
+
+        for shards in [1, 2, 7] {
+            for opts in [EngineOptions::default(), off.clone()] {
+                let sharded =
+                    shard::ShardedEngine::from_trendlines(tls.clone(), shards).with_options(opts);
+                assert_eq!(
+                    bits(&sharded.top_k(&q, k).unwrap()),
+                    want,
+                    "{shards} shards, pushdown {}",
+                    sharded.options().pushdown
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@ pub enum EngineStage {
     /// batch — see `ShapeEngine::top_k_batch`).
     Group,
     /// One query's SEGMENT + SCORE pass over the candidate
-    /// visualizations (per query, covers the whole `run_per_viz` walk
-    /// including any parallel fan-out).
+    /// visualizations (per query, covers candidate selection and the
+    /// whole `run_per_viz` walk including any parallel fan-out).
     SegmentScore,
     /// §6.3 bound computation inside the pruning driver (accumulated
     /// over every bound-checked candidate; reported per candidate).

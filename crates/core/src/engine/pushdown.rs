@@ -9,9 +9,18 @@
 //!   and an up/down pattern are scored first; a negative score discards the
 //!   visualization before any fuzzy segmentation is attempted — see
 //!   [`eager_discard`].
-//! * **(c) Stat skipping in GROUP**: for fully non-fuzzy queries, summarized
-//!   statistics are computed only over the referenced x ranges — see
-//!   [`VizData::from_trendline_restricted`](crate::engine::group::VizData::from_trendline_restricted).
+//!
+//! `EngineOptions::pushdown` switches (a) and (b) together.
+//!
+//! The paper's **(c) stat skipping in GROUP** — computing summarized
+//! statistics only over a fully pinned query's x ranges — is not
+//! implemented. This engine GROUPs each collection once into a cached
+//! arena whose prefix columns give any range's statistics in O(1), so a
+//! private per-query GROUP only adds work: on a warm 5,000 × 48 shard,
+//! single-threaded, a 2-segment located query took 12.5–13.0 ms with a
+//! private GROUP and 1.7–2.0 ms reading the shared arena (fuzzy queries
+//! 6.4–7.4 ms either way). A private canvas also started at the first
+//! pinned point, which shifted the reported `ranges`.
 
 use crate::ast::Pattern;
 use crate::chain::Chain;
@@ -29,7 +38,7 @@ pub fn covers_ranges(t: &Trendline, ranges: &[(f64, f64)]) -> bool {
 }
 
 /// True when *every* segment of the query is non-fuzzy (both x endpoints
-/// pinned), enabling GROUP stat skipping (c).
+/// pinned): a "located" query, the kind Figure 11 measures.
 pub fn fully_pinned(q: &ShapeQuery) -> bool {
     let segs = q.segments();
     !segs.is_empty() && segs.iter().all(|s| !s.is_fuzzy())
